@@ -73,9 +73,7 @@ def run_cell(
         with Timer() as t:
             app_fn(store, rng, **kwargs)
         t_walk += t.seconds
-    g_bytes, s_bytes = store.memory_bytes() if framework == "bingo" else (
-        store.adj.nbytes, store.structure_nbytes()
-    )
+    g_bytes, s_bytes = store.memory_bytes()
     return {
         "graph": graph,
         "app": app,

@@ -58,7 +58,7 @@ def batched_delete(v: BingoVertex, dsts) -> None:
     """
     if len(dsts) == 0:
         return
-    idxs = np.array([v._pos.pop(int(dst)) for dst in dsts], dtype=np.int64)
+    idxs = np.array([v.pos.pop(int(dst)) for dst in dsts], dtype=np.int64)
     for idx in idxs:
         ip = int(v._ints[idx])
         frac = float(v._fracs[idx])
@@ -79,8 +79,8 @@ def batched_delete(v: BingoVertex, dsts) -> None:
             v._groups[k].replace_index(f, p)
         if mfrac > 0:
             v._decimal.replace_index(f, p)
-        v._pos[int(v._nbr[f])] = p
-    for arr in (v._nbr, v._raw, v._ints, v._fracs):
+        v.pos[int(v.dst[f])] = p
+    for arr in (v.dst, v.bias, v._ints, v._fracs):
         buf = arr.view()
         buf[slots] = buf[fillers]
         arr.truncate(new_d)

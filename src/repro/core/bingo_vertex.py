@@ -1,9 +1,13 @@
 """Per-vertex BINGO sampling structure (paper §4, §5.1).
 
-One ``BingoVertex`` owns a vertex's adjacency (neighbor ids + biases,
-Hornet-style dynamic arrays), its radix groups keyed by bit position,
-the optional decimal group of the floating-point scheme, and the
-inter-group alias table. It implements:
+``BingoVertex`` is an adjacency row of the graph substrate
+(``repro.graphs.dynamic_graph.VertexAdj``, which owns the neighbor-id
+and bias arrays and the dst→index map) extended with the vertex's radix
+groups keyed by bit position, the optional decimal group of the
+floating-point scheme, and the inter-group alias table. Its ``insert``
+and ``delete`` override the row's to keep those structures in step, so
+``Adjacency.apply`` streams updates into it like into any row. It
+implements:
 
 - hierarchical O(1) sampling (inter-group alias → intra-group unbiased,
   Eq. 5-7);
@@ -25,9 +29,10 @@ from collections import Counter
 
 import numpy as np
 
+from ..graphs.dynamic_graph import VertexAdj
+from ..graphs.dynarray import DynArray
 from . import bits
 from .alias import AliasTable
-from .dynarray import DynArray
 from .groups import (
     ALPHA,
     BETA,
@@ -42,12 +47,23 @@ from .groups import (
 #: Sentinel key for the decimal group in the inter-group key list.
 DECIMAL_KEY = -1
 
-# Accounting bytes for one entry of the dst->index locate map (the §4.2
-# design that makes "locate this edge" O(1) for deletions).
-_POS_ENTRY_BYTES = 16
+
+def check_biases(biases, float_bias: bool) -> np.ndarray:
+    """``biases`` as a vertex's bias array: float64, or int64 in integer
+    mode. Raises ``ValueError`` unless every bias is positive and finite,
+    and an integer in integer mode."""
+    given = np.asarray(biases)
+    if not (np.isfinite(given) & (given > 0)).all():
+        raise ValueError("biases must be positive")
+    if float_bias:
+        return given.astype(np.float64)
+    raw = given.astype(np.int64)
+    if (raw != given).any():
+        raise ValueError("integer-bias vertex got a non-integer bias")
+    return raw
 
 
-class BingoVertex:
+class BingoVertex(VertexAdj):
     """BINGO sampling space for a single vertex."""
 
     def __init__(
@@ -61,14 +77,8 @@ class BingoVertex:
         float_bias: bool = False,
         lam: float | None = None,
     ) -> None:
-        dsts = np.asarray(dsts, dtype=np.int64)
-        raw = np.asarray(biases, dtype=np.float64 if float_bias else np.int64)
-        if len(dsts) != len(raw):
-            raise ValueError("dsts and biases length mismatch")
-        if len(np.unique(dsts)) != len(dsts):
-            raise ValueError("duplicate destination in neighbor list")
-        if (raw <= 0).any():
-            raise ValueError("biases must be positive")
+        raw = check_biases(biases, float_bias)
+        super().__init__(dsts, raw, raw.dtype)
         self.adaptive = adaptive
         self.alpha = alpha
         self.beta = beta
@@ -76,16 +86,12 @@ class BingoVertex:
         self.conversions: Counter = Counter()   # (from_kind, to_kind) -> count
         self.touches: Counter = Counter()       # kind -> update ops touching it
 
-        self._nbr = DynArray.from_values(dsts, dtype=np.int64)
-        self._raw = DynArray.from_values(raw, dtype=raw.dtype)
-        self._pos = {int(v): i for i, v in enumerate(dsts)}
-
         if float_bias:
             self.lam = lam if lam is not None else bits.choose_lambda(raw)
             ints, fracs = bits.float_split(raw, self.lam)
         else:
             self.lam = 1.0
-            ints = raw.astype(np.int64)
+            ints = raw
             fracs = np.zeros(len(raw), dtype=np.float64)
         self._ints = DynArray.from_values(ints, dtype=np.int64)
         self._fracs = DynArray.from_values(fracs, dtype=np.float64)
@@ -137,25 +143,18 @@ class BingoVertex:
 
     # -- views / accessors ---------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        return len(self._nbr)
-
     def neighbors_view(self) -> np.ndarray:
-        return self._nbr.view()
+        return self.dst.view()
 
     def int_bias_view(self) -> np.ndarray:
         """Integer-part biases — what dense-group rejection tests against."""
         return self._ints.view()
 
     def raw_bias_view(self) -> np.ndarray:
-        return self._raw.view()
-
-    def has_edge(self, dst: int) -> bool:
-        return int(dst) in self._pos
+        return self.bias.view()
 
     def index_of(self, dst: int) -> int:
-        return self._pos[int(dst)]
+        return self.pos[int(dst)]
 
     def weight_of(self, index: int) -> float:
         """Effective (λ-scaled) sampling weight of adjacency index."""
@@ -229,10 +228,10 @@ class BingoVertex:
 
     def sample_dst(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Hierarchical sampling; returns neighbor (destination) ids."""
-        return self._nbr.view()[self.sample(rng, size)]
+        return self.dst.view()[self.sample(rng, size)]
 
     def sample_dst_one(self, rng: np.random.Generator) -> int:
-        return int(self._nbr._buf[self.sample_one(rng)])
+        return int(self.dst._buf[self.sample_one(rng)])
 
     def probabilities(self) -> np.ndarray:
         """Exact per-index transition probabilities (test helper)."""
@@ -293,17 +292,12 @@ class BingoVertex:
 
     def _insert_edge(self, dst: int, bias) -> int:
         """Intra-group part of insertion; caller must ``_finalize_update``."""
-        dst = int(dst)
-        if dst in self._pos:
-            raise KeyError(f"edge to {dst} already present")
         if bias <= 0:
             raise ValueError("bias must be positive")
         ip, frac = self._split_bias(bias)
-        idx = self._nbr.append(dst)
-        self._raw.append(bias)
+        idx = super().insert(dst, bias)
         self._ints.append(ip)
         self._fracs.append(frac)
-        self._pos[dst] = idx
         for k in bits.bit_positions(ip):
             self._group_insert(k, idx)
         if frac > 0:
@@ -314,10 +308,7 @@ class BingoVertex:
 
     def _delete_edge(self, dst: int) -> None:
         """Intra-group part of deletion; caller must ``_finalize_update``."""
-        dst = int(dst)
-        idx = self._pos.pop(dst, None)
-        if idx is None:
-            raise KeyError(f"no edge to {dst}")
+        idx = super().delete(dst)
         ip = int(self._ints[idx])
         frac = float(self._fracs[idx])
         for k in bits.bit_positions(ip):
@@ -326,19 +317,16 @@ class BingoVertex:
             self._decimal.delete(idx)
             if self._decimal.size == 0:
                 self._decimal = None
-        last = self.degree - 1
-        moved_dst = self._nbr.pop_swap(idx)
-        self._raw.pop_swap(idx)
         self._ints.pop_swap(idx)
         self._fracs.pop_swap(idx)
-        if moved_dst is not None:  # tail element renamed last -> idx
+        last = self.degree  # the row already moved its tail edge here
+        if idx < last:  # tail element renamed last -> idx
             mip = int(self._ints[idx])
             mfrac = float(self._fracs[idx])
             for k in bits.bit_positions(mip):
                 self._groups[k].replace_index(last, idx)
             if mfrac > 0:
                 self._decimal.replace_index(last, idx)
-            self._pos[int(moved_dst)] = idx
 
     def _finalize_update(self) -> None:
         """Reclassify + rebuild the inter-group table — once per streaming
@@ -366,11 +354,6 @@ class BingoVertex:
     # -- memory accounting (§4.4, Fig. 11, Table 3) --------------------------
 
     @property
-    def graph_nbytes(self) -> int:
-        """Adjacency bytes: neighbor ids + raw biases + locate map."""
-        return self._nbr.nbytes + self._raw.nbytes + _POS_ENTRY_BYTES * len(self._pos)
-
-    @property
     def structure_nbytes(self) -> int:
         """Sampling-structure bytes: groups + inverted indices + inter table
         + the λ-split arrays (float mode only adds the fraction array)."""
@@ -394,9 +377,9 @@ class BingoVertex:
         """Assert the structure matches a from-scratch reconstruction."""
         ints = self._ints.view()
         d = self.degree
-        assert len(self._pos) == d
-        for dst, i in self._pos.items():
-            assert int(self._nbr[i]) == dst
+        assert len(self.pos) == d
+        for dst, i in self.pos.items():
+            assert int(self.dst[i]) == dst
         K = bits.num_bits(int(ints.max(initial=0))) if d else 0
         for k in range(K):
             expect = bits.group_members(ints, k)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynarray import DynArray
+from ..graphs.dynarray import DynArray
 
 ALPHA = 40.0  # dense threshold, percent (paper §5.1)
 BETA = 10.0   # sparse threshold, percent (paper §5.1)

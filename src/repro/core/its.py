@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynarray import DynArray
+from ..graphs.dynarray import DynArray
 from .sampler_api import VertexSampler
 
 

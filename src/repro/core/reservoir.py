@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynarray import DynArray
+from ..graphs.dynarray import DynArray
 from .sampler_api import VertexSampler
 
 # Bound the (draws x degree) scratch matrix of the vectorized scan.

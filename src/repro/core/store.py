@@ -5,17 +5,23 @@ The store is the engine-facing surface shared by BINGO and the SOTA
 simulators: vectorized next-hop sampling for a batch of walkers,
 streaming and batched update ingestion, adjacency queries for
 second-order (node2vec) rejection tests, and memory accounting.
+
+The adjacency layout is owned by ``repro.graphs.dynamic_graph``: the
+store holds an ``Adjacency`` whose rows are ``BingoVertex`` objects, so
+edge queries, the edge list and the streaming path are the substrate's.
 """
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pandas as pd
 
+from ..graphs.dynamic_graph import Adjacency
 from ..graphs.updates import OP_DELETE, OP_INSERT
 from .batched import apply_vertex_batch
-from .bingo_vertex import BingoVertex
+from .bingo_vertex import BingoVertex, check_biases
 from .grouping import iter_vertex_groups
 
 
@@ -74,72 +80,31 @@ class BingoStore:
         alpha: float = 40.0,
         beta: float = 10.0,
     ) -> None:
-        self.adaptive = adaptive
         self.float_bias = float_bias
-        self.alpha = alpha
-        self.beta = beta
-        self._v: dict[int, BingoVertex] = {}
-        src = edges["src"].to_numpy()
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = edges["dst"].to_numpy()[order]
-        bias = edges["bias"].to_numpy()[order]
-        uniq, starts = np.unique(src, return_index=True)
-        bounds = np.append(starts, len(src))
-        for i, u in enumerate(uniq):
-            lo, hi = bounds[i], bounds[i + 1]
-            self._v[int(u)] = BingoVertex(
-                dst[lo:hi],
-                bias[lo:hi],
-                adaptive=adaptive,
-                float_bias=float_bias,
-                alpha=alpha,
-                beta=beta,
-            )
+        self.adj = Adjacency.from_edges(edges, partial(
+            BingoVertex, adaptive=adaptive, float_bias=float_bias, alpha=alpha, beta=beta,
+        ))
 
     # -- queries -------------------------------------------------------------
 
     def vertex(self, u: int) -> BingoVertex | None:
-        return self._v.get(int(u))
+        return self.adj.rows.get(int(u))
 
     def vertices(self) -> np.ndarray:
-        """Vertex ids with at least one out-edge (walker start points)."""
-        return np.array(
-            sorted(u for u, v in self._v.items() if v.degree > 0), dtype=np.int64
-        )
+        return self.adj.vertices()
 
     def out_degree(self, u: int) -> int:
-        v = self._v.get(int(u))
-        return 0 if v is None else v.degree
+        return self.adj.out_degree(u)
 
     def has_edge(self, u: int, dst: int) -> bool:
-        v = self._v.get(int(u))
-        return v is not None and v.has_edge(dst)
+        return self.adj.has_edge(u, dst)
 
     def num_edges(self) -> int:
-        return sum(v.degree for v in self._v.values())
+        return self.adj.num_edges()
 
     def edges(self) -> pd.DataFrame:
         """Materialize the current edge list (oracle-side ground truth)."""
-        rows = []
-        for u, v in self._v.items():
-            if v.degree:
-                rows.append(
-                    pd.DataFrame(
-                        {
-                            "src": np.full(v.degree, u, dtype=np.int64),
-                            "dst": v.neighbors_view().copy(),
-                            "bias": v.raw_bias_view().copy(),
-                        }
-                    )
-                )
-        if not rows:
-            return pd.DataFrame({"src": [], "dst": [], "bias": []})
-        return (
-            pd.concat(rows, ignore_index=True)
-            .sort_values(["src", "dst"])
-            .reset_index(drop=True)
-        )
+        return self.adj.edges()
 
     # -- sampling ------------------------------------------------------------
 
@@ -152,7 +117,7 @@ class BingoStore:
         """
         cur = np.asarray(cur, dtype=np.int64)
         out = np.full(len(cur), -1, dtype=np.int64)
-        get = self._v.get
+        get = self.adj.rows.get
         for u, idx in iter_vertex_groups(cur):
             v = get(u)
             if v is None or v.degree == 0:
@@ -165,55 +130,36 @@ class BingoStore:
 
     # -- updates -------------------------------------------------------------
 
-    def _get_or_create(self, u: int) -> BingoVertex:
-        v = self._v.get(int(u))
-        if v is None:
-            v = BingoVertex(
-                [], [],
-                adaptive=self.adaptive,
-                float_bias=self.float_bias,
-                alpha=self.alpha,
-                beta=self.beta,
-            )
-            self._v[int(u)] = v
-        return v
-
     def apply_stream(self, batch: pd.DataFrame) -> None:
         """Streaming path (§4.2): one structure update per event, in order."""
-        for op, src, dst, bias in zip(
-            batch["op"], batch["src"], batch["dst"], batch["bias"]
-        ):
-            if op == OP_INSERT:
-                self._get_or_create(int(src)).insert(int(dst), bias)
-            elif op == OP_DELETE:
-                v = self._v.get(int(src))
-                if v is None:
-                    raise KeyError(f"delete from unknown vertex {src}")
-                v.delete(int(dst))
-            else:
-                raise ValueError(f"unknown op {op}")
+        self.adj.apply(batch)
 
     def apply_batch(self, batch: pd.DataFrame) -> None:
-        """Batched path (§5.2): group by vertex, insert→delete→one rebuild."""
+        """Batched path (§5.2): group by vertex, insert→delete→one rebuild.
+
+        The whole batch is checked (ops, edge existence, biases) before
+        any vertex changes, so a rejected batch leaves the store as it was.
+        """
+        check_biases(batch["bias"].to_numpy()[batch["op"].to_numpy() == OP_INSERT],
+                     self.float_bias)
         inserts, deletes = resolve_net_effects(self.has_edge, batch)
         for u in set(inserts) | set(deletes):
             apply_vertex_batch(
-                self._get_or_create(u), inserts.get(u, []), deletes.get(u, [])
+                self.adj.row(u), inserts.get(u, []), deletes.get(u, [])
             )
 
     # -- accounting ----------------------------------------------------------
 
     def memory_bytes(self) -> tuple[int, int]:
         """(graph bytes, sampling-structure bytes) across all vertices."""
-        g = sum(v.graph_nbytes for v in self._v.values())
-        s = sum(v.structure_nbytes for v in self._v.values())
-        return g, s
+        s = sum(v.structure_nbytes for v in self.adj.rows.values())
+        return self.adj.nbytes, s
 
     def conversion_stats(self) -> tuple[Counter, Counter]:
         """Aggregated (conversions, touches) counters — Table 4's raw data."""
         conv: Counter = Counter()
         touch: Counter = Counter()
-        for v in self._v.values():
+        for v in self.adj.rows.values():
             conv.update(v.conversions)
             touch.update(v.touches)
         return conv, touch
@@ -221,10 +167,10 @@ class BingoStore:
     def group_kind_histogram(self) -> Counter:
         """Current group-representation census (Fig. 11(e) style)."""
         hist: Counter = Counter()
-        for v in self._v.values():
+        for v in self.adj.rows.values():
             hist.update(v.group_kinds().values())
         return hist
 
     def check_invariants(self) -> None:
-        for v in self._v.values():
+        for v in self.adj.rows.values():
             v.check_invariants()

@@ -1,41 +1,92 @@
 """Dynamic adjacency substrate (paper §9.1: Hornet-style dynamic arrays).
 
-This is the graph container shared by the SOTA comparator engines: a
-per-vertex pair of dynamic arrays (destinations, biases) plus an O(1)
-dst→index locate map. Updates are O(1) amortized (append / swap-delete),
-exactly the substrate BINGO assumes underneath its sampling structures —
-the comparators differ only in what *sampling* structure they rebuild on
-top of it.
+This module owns the adjacency layout of every store in the repo. A
+``VertexAdj`` row holds one vertex's out-edges as a pair of dynamic
+arrays (destinations, biases) plus an O(1) dst→index locate map; an
+insert appends and a delete swaps the tail edge into the freed slot,
+both O(1) amortized. ``Adjacency`` maps vertex ids to rows.
+
+BINGO and the SOTA comparators share this substrate and differ only in
+the sampling structure on top of it: the comparators keep plain rows and
+rebuild their structures after each update round, while ``BingoStore``
+uses ``BingoVertex`` rows, a subclass that keeps its radix groups in
+step with every row insert and delete.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from ..core.dynarray import DynArray
+from .dynarray import DynArray
 from .updates import OP_DELETE, OP_INSERT
 
 _POS_ENTRY_BYTES = 16
 
 
-class _VertexAdj:
+class VertexAdj:
+    """One vertex's out-edges: ``dst`` and ``bias`` dynamic arrays and the
+    ``pos`` map from a destination id to its index in them."""
+
     __slots__ = ("dst", "bias", "pos")
 
-    def __init__(self, dsts, biases):
+    def __init__(self, dsts, biases, bias_dtype=np.float64):
         self.dst = DynArray.from_values(dsts, dtype=np.int64)
-        self.bias = DynArray.from_values(biases, dtype=np.float64)
+        self.bias = DynArray.from_values(biases, dtype=bias_dtype)
+        if len(self.bias) != len(self.dst):
+            raise ValueError("dsts and biases length mismatch")
         self.pos = {int(v): i for i, v in enumerate(self.dst.view())}
+        if len(self.pos) != len(self.dst):
+            raise ValueError("duplicate destination in neighbor list")
+
+    @property
+    def degree(self) -> int:
+        return len(self.dst)
+
+    def has_edge(self, dst: int) -> bool:
+        return int(dst) in self.pos
+
+    def insert(self, dst: int, bias) -> int:
+        """Append the edge to ``dst``; returns its index."""
+        dst = int(dst)
+        if dst in self.pos:
+            raise KeyError(f"edge to {dst} already present")
+        idx = self.dst.append(dst)
+        self.bias.append(bias)
+        self.pos[dst] = idx
+        return idx
+
+    def delete(self, dst: int) -> int:
+        """Remove the edge to ``dst`` by moving the tail edge into its
+        slot; returns that slot's index."""
+        idx = self.pos.pop(int(dst), None)
+        if idx is None:
+            raise KeyError(f"no edge to {dst}")
+        moved = self.dst.pop_swap(idx)
+        self.bias.pop_swap(idx)
+        if moved is not None:
+            self.pos[int(moved)] = idx
+        return idx
+
+    @property
+    def graph_nbytes(self) -> int:
+        """Adjacency bytes: neighbor ids + biases + locate map."""
+        return self.dst.nbytes + self.bias.nbytes + _POS_ENTRY_BYTES * len(self.pos)
 
 
 class Adjacency:
-    """Vertex-indexed dynamic adjacency with O(1) updates."""
+    """Vertex-indexed dynamic adjacency with O(1) updates.
 
-    def __init__(self) -> None:
-        self._v: dict[int, _VertexAdj] = {}
+    ``make_row(dsts, biases)`` builds a vertex's row; ``rows`` maps each
+    vertex id to its row (rows may be empty after deletes).
+    """
+
+    def __init__(self, make_row=VertexAdj) -> None:
+        self.rows: dict[int, VertexAdj] = {}
+        self.make_row = make_row
 
     @classmethod
-    def from_edges(cls, edges: pd.DataFrame) -> "Adjacency":
-        adj = cls()
+    def from_edges(cls, edges: pd.DataFrame, make_row=VertexAdj) -> "Adjacency":
+        adj = cls(make_row)
         src = edges["src"].to_numpy()
         order = np.argsort(src, kind="stable")
         src = src[order]
@@ -45,29 +96,24 @@ class Adjacency:
         bounds = np.append(starts, len(src))
         for i, u in enumerate(uniq):
             lo, hi = bounds[i], bounds[i + 1]
-            adj._v[int(u)] = _VertexAdj(dst[lo:hi], bias[lo:hi])
+            adj.rows[int(u)] = make_row(dst[lo:hi], bias[lo:hi])
         return adj
 
-    def insert(self, src: int, dst: int, bias: float) -> None:
-        v = self._v.get(int(src))
+    def row(self, u: int) -> VertexAdj:
+        """The row of ``u``, created empty on first use."""
+        v = self.rows.get(int(u))
         if v is None:
-            v = _VertexAdj([], [])
-            self._v[int(src)] = v
-        if int(dst) in v.pos:
-            raise KeyError(f"edge ({src},{dst}) already present")
-        idx = v.dst.append(int(dst))
-        v.bias.append(float(bias))
-        v.pos[int(dst)] = idx
+            v = self.rows[int(u)] = self.make_row([], [])
+        return v
+
+    def insert(self, src: int, dst: int, bias) -> None:
+        self.row(src).insert(dst, bias)
 
     def delete(self, src: int, dst: int) -> None:
-        v = self._v.get(int(src))
-        if v is None or int(dst) not in v.pos:
+        v = self.rows.get(int(src))
+        if v is None:
             raise KeyError(f"edge ({src},{dst}) not present")
-        idx = v.pos.pop(int(dst))
-        moved = v.dst.pop_swap(idx)
-        v.bias.pop_swap(idx)
-        if moved is not None:
-            v.pos[int(moved)] = idx
+        v.delete(dst)
 
     def apply(self, batch: pd.DataFrame) -> None:
         """Apply one in-order update batch (columns op/src/dst/bias)."""
@@ -84,34 +130,36 @@ class Adjacency:
     # -- queries -------------------------------------------------------------
 
     def vertices(self) -> np.ndarray:
+        """Vertex ids with at least one out-edge (walker start points)."""
         return np.array(
-            sorted(u for u, v in self._v.items() if len(v.dst) > 0), dtype=np.int64
+            sorted(u for u, v in self.rows.items() if len(v.dst) > 0), dtype=np.int64
         )
 
     def items(self):
         """Yield (vertex, dst view, bias view) for non-empty vertices."""
-        for u, v in self._v.items():
+        for u, v in self.rows.items():
             if len(v.dst):
                 yield u, v.dst.view(), v.bias.view()
 
     def neighbors(self, u: int):
-        v = self._v.get(int(u))
+        v = self.rows.get(int(u))
         if v is None:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         return v.dst.view(), v.bias.view()
 
     def out_degree(self, u: int) -> int:
-        v = self._v.get(int(u))
+        v = self.rows.get(int(u))
         return 0 if v is None else len(v.dst)
 
     def has_edge(self, u: int, dst: int) -> bool:
-        v = self._v.get(int(u))
+        v = self.rows.get(int(u))
         return v is not None and int(dst) in v.pos
 
     def num_edges(self) -> int:
-        return sum(len(v.dst) for v in self._v.values())
+        return sum(len(v.dst) for v in self.rows.values())
 
     def edges(self) -> pd.DataFrame:
+        """Materialize the current edge list, sorted by (src, dst)."""
         rows = []
         for u, dsts, biases in self.items():
             rows.append(pd.DataFrame({
@@ -129,7 +177,4 @@ class Adjacency:
 
     @property
     def nbytes(self) -> int:
-        return sum(
-            v.dst.nbytes + v.bias.nbytes + _POS_ENTRY_BYTES * len(v.pos)
-            for v in self._v.values()
-        )
+        return sum(v.graph_nbytes for v in self.rows.values())

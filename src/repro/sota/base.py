@@ -79,9 +79,9 @@ def per_vertex_sample(store_tables: dict, fallback, rng, cur: np.ndarray,
     ``draw(table, rng, m)`` returns m neighbor *indices* for one vertex's
     table; ``draw_one(table, rng)`` is the scalar fast path (defaults to
     a size-1 ``draw``); ``fallback(u)`` maps a vertex to (dsts view) for
-    index→id translation. Vertices without a table (degree 0) yield -1.
-    Uses the same sort-based dispatch kernel as ``BingoStore`` so
-    dispatch overhead cancels out of the Table 3 comparison.
+    index→id translation. Vertices without a table or without out-edges
+    yield -1. Uses the same sort-based dispatch kernel as ``BingoStore``
+    so dispatch overhead cancels out of the Table 3 comparison.
     """
     from ..core.grouping import iter_vertex_groups
 
@@ -91,8 +91,11 @@ def per_vertex_sample(store_tables: dict, fallback, rng, cur: np.ndarray,
         table = store_tables.get(u)
         if table is None:
             continue
+        dsts = fallback(u)
+        if len(dsts) == 0:
+            continue
         if len(idx) == 1 and draw_one is not None:
-            out[idx[0]] = fallback(u)[draw_one(table, rng)]
+            out[idx[0]] = dsts[draw_one(table, rng)]
         else:
-            out[idx] = fallback(u)[draw(table, rng, len(idx))]
+            out[idx] = dsts[draw(table, rng, len(idx))]
     return out

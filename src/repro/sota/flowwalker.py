@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.reservoir import reservoir_draw
-from .base import StaticRebuildStore
+from .base import StaticRebuildStore, per_vertex_sample
 
 
 class FlowWalkerStore(StaticRebuildStore):
@@ -24,19 +24,16 @@ class FlowWalkerStore(StaticRebuildStore):
         pass
 
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        from ..core.grouping import iter_vertex_groups
-
-        cur = np.asarray(cur, dtype=np.int64)
-        out = np.full(len(cur), -1, dtype=np.int64)
-        for u, idx in iter_vertex_groups(cur):
-            dsts, biases = self.adj.neighbors(u)
-            if len(dsts) == 0:
-                continue
-            # Every draw — even a single walker's — pays the O(d)
-            # reservoir scan: that is FlowWalker's defining cost model.
-            pick = reservoir_draw(rng, biases, len(idx))
-            out[idx] = dsts[pick]
-        return out
+        # Every draw — even a single walker's — pays the O(d) reservoir
+        # scan over the row's biases: that is FlowWalker's defining cost
+        # model.
+        return per_vertex_sample(
+            self.adj.rows,
+            lambda u: self.adj.neighbors(u)[0],
+            rng,
+            cur,
+            lambda row, r, m: reservoir_draw(r, row.bias.view(), m),
+        )
 
     def structure_nbytes(self) -> int:
         return 0

@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StaticRebuildStore
+from .base import StaticRebuildStore, per_vertex_sample
+
+
+def _draw(row, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Per-step matrix materialization: prefix-sum the frontier row's
+    weights, then inverse-transform sample ``m`` indices."""
+    cdf = np.cumsum(row.bias.view())
+    return np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right")
 
 
 class GSamplerStore(StaticRebuildStore):
@@ -34,22 +41,9 @@ class GSamplerStore(StaticRebuildStore):
         self._tensors = tensors
 
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        from ..core.grouping import iter_vertex_groups
-
-        cur = np.asarray(cur, dtype=np.int64)
-        out = np.full(len(cur), -1, dtype=np.int64)
-        for u, idx in iter_vertex_groups(cur):
-            dsts, biases = self.adj.neighbors(u)
-            if len(dsts) == 0:
-                continue
-            # Per-step matrix materialization: renormalize + prefix-sum
-            # the frontier row, then inverse-transform sample.
-            w = np.asarray(biases, dtype=np.float64)
-            cdf = np.cumsum(w)
-            x = rng.random(len(idx)) * cdf[-1]
-            pick = np.searchsorted(cdf, x, side="right")
-            out[idx] = dsts[pick]
-        return out
+        return per_vertex_sample(
+            self.adj.rows, lambda u: self.adj.neighbors(u)[0], rng, cur, _draw
+        )
 
     def structure_nbytes(self) -> int:
         return sum(

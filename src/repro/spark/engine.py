@@ -184,7 +184,7 @@ class SparkBingoEngine:
                      "alive": np.zeros(len(part), dtype=bool)}
                 )
             store = pickle.loads(blob)
-            rng = np.random.default_rng((seed, pid, int(step.min(initial=0))))
+            rng = np.random.default_rng((seed, rnd, pid))
             local = np.ones(len(part), dtype=bool)
             while True:
                 act = alive & local & (step < length)
@@ -223,7 +223,10 @@ class SparkBingoEngine:
             )
 
         try:
-            for _ in range(rounds):
+            # applyInPandas pickles ``advance`` when each round's plan is
+            # built, so every round's tasks see that round's ``rnd`` and
+            # draw a fresh random stream.
+            for rnd in range(rounds):
                 live = walkers[walkers["alive"]]
                 if live.empty:
                     break

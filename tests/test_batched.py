@@ -159,6 +159,30 @@ class TestNetEffects:
             resolve_net_effects(lambda u, v: False, batch)
 
 
+class TestAtomicBatch:
+    """A rejected batch raises before any vertex changes. apply_batch used
+    to validate biases per vertex, so the events of vertices it reached
+    before the bad one stayed applied."""
+
+    @pytest.mark.parametrize("float_bias, bad", [
+        (False, (1, 1, 2, -1)),    # negative bias
+        (False, (1, 1, 2, 1.5)),   # non-integer bias in integer mode
+        (True, (1, 1, 2, 0.0)),    # zero bias
+        (False, (7, 1, 2, 1)),     # unknown op
+    ], ids=["negative", "non-integer", "zero-float", "unknown-op"])
+    def test_rejected_batch_leaves_store_unchanged(self, float_bias, bad):
+        store = BingoStore(
+            pd.DataFrame({"src": [0, 1], "dst": [1, 0], "bias": [2, 3]}),
+            float_bias=float_bias,
+        )
+        before = store.edges()
+        batch = pd.DataFrame([(1, 0, 2, 3), bad], columns=["op", "src", "dst", "bias"])
+        with pytest.raises(ValueError):
+            store.apply_batch(batch)
+        pd.testing.assert_frame_equal(store.edges(), before)
+        store.check_invariants()
+
+
 @pytest.mark.parametrize("mode", ["insertion", "deletion", "mixed"])
 class TestStoreEquivalence:
     """Batched path == streaming path == pandas ground truth, per §6.1

@@ -44,6 +44,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_vertex([1, 0])
 
+    def test_non_integer_bias_rejected(self):
+        # Integer mode used to truncate these to [1, 2] at build time,
+        # while insert(dst, 1.5) raised.
+        with pytest.raises(ValueError):
+            BingoVertex([1, 2], [1.5, 2.0])
+        v = BingoVertex([1, 2], [1.0, 2.0])
+        assert v.raw_bias_view().tolist() == [1, 2]
+
     def test_nonadaptive_groups_all_regular(self):
         v = make_vertex([5, 4, 3, 9, 16, 1], adaptive=False)
         assert set(v.group_kinds().values()) == {KIND_REGULAR}

@@ -79,6 +79,21 @@ class TestDistributedWalk:
         # Geometric with p=0.5: mean 1 extra step.
         assert 0.6 < lengths.mean() < 1.6
 
+    def test_ppr_length_tail(self, spark):
+        # Every Spark round must draw a fresh random stream. With one
+        # stream replayed each round, the first walker of a partition drew
+        # the same stop coin every round and walked all 50 steps.
+        edges = pd.DataFrame({"src": [0, 1], "dst": [1, 0], "bias": [1, 1]})
+        eng = SparkBingoEngine(spark, edges, n_parts=2)
+        seg = eng.walk(starts=np.zeros(600, dtype=np.int64), length=50,
+                       seed=6, stop_prob=0.5)
+        lengths = seg.groupby("walker").step.max().to_numpy()
+        assert len(lengths) == 600
+        # P(some walker of 600 takes more than 30 steps) = 600 * 2^-31.
+        assert lengths.max() <= 30
+        # Geometric(1/2) lengths: P(L = k) = 2^-(k+1); bins 0..3 and >= 4.
+        assert_distribution(np.minimum(lengths, 4), [0.5, 0.25, 0.125, 0.0625, 0.0625])
+
     def test_dead_ends_stop(self, spark):
         edges = pd.DataFrame({"src": [0], "dst": [1], "bias": [1]})
         eng = SparkBingoEngine(spark, edges, n_parts=2)
