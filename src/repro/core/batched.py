@@ -94,6 +94,7 @@ def apply_vertex_batch(v: BingoVertex, inserts, deletes) -> None:
     dst ids. The caller (store) has already resolved same-edge conflicts
     into net effects per the paper's timestamp rule.
     """
+    v.settle_lambda([bias for _, bias in inserts])
     for dst, bias in inserts:
         v._insert_edge(int(dst), bias)
     batched_delete(v, list(deletes))

@@ -87,8 +87,12 @@ class BingoVertex(VertexAdj):
         self.touches: Counter = Counter()       # kind -> update ops touching it
 
         if float_bias:
-            self.lam = lam if lam is not None else bits.choose_lambda(raw)
-            ints, fracs = bits.float_split(raw, self.lam)
+            if lam is None and len(raw):
+                lam = bits.choose_lambda(raw)
+            # An empty vertex has no bias to choose λ from: it stays None
+            # until the first insert (``settle_lambda``).
+            self.lam = lam
+            ints, fracs = bits.float_split(raw, 1.0 if lam is None else lam)
         else:
             self.lam = 1.0
             ints = raw
@@ -240,8 +244,16 @@ class BingoVertex(VertexAdj):
 
     # -- streaming updates (§4.2) -------------------------------------------
 
+    def settle_lambda(self, biases) -> None:
+        """Choose λ from ``biases`` if this vertex has none yet, i.e. a
+        float vertex created empty, so its first insert meets the §4.4
+        decimal-mass bound (``choose_lambda([])`` would climb to the cap)."""
+        if self.lam is None and len(biases):
+            self.lam = bits.choose_lambda(biases)
+
     def _split_bias(self, bias) -> tuple[int, float]:
         if self.float_bias:
+            self.settle_lambda([bias])
             scaled = float(bias) * self.lam
             ip = int(np.floor(scaled))
             return ip, scaled - ip

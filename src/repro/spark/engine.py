@@ -4,15 +4,19 @@ The paper scales BINGO to multiple GPUs with 1-D vertex partitioning and
 moves *walkers*, never sampling structures, between devices. This module
 maps device → Spark partition:
 
-- each partition's vertices live in one ``BingoStore``, serialized and
-  carried as a ``(pid, blob)`` state DataFrame (the "graph + metadata
-  stay on the device" rule);
+- each partition's vertices are carried as one ``(pid, blob)`` row of
+  the state DataFrame (the "graph + metadata stay on the device" rule);
+  the blob is a pickled ``{vertex id: pickled BingoVertex}`` map, so a
+  task unpickles only the vertex rows it reads, into an otherwise empty
+  ``BingoStore``;
 - graph updates are routed to their owning partition with
   ``applyInPandas`` and applied incrementally there (batched §5.2 path
-  or streaming §4.2 path), producing the next state DataFrame;
+  or streaming §4.2 path) to the rows of the batch's source vertices;
+  only those rows are pickled again;
 - walks advance in rounds: an ``applyInPandas`` task steps every walker
   whose current vertex it owns *for as long as the walk stays local*,
-  then emits the walker for the next round (walker forwarding).
+  loading each vertex's row the first time a walker stands on it, then
+  emits the walker for the next round (walker forwarding).
 
 Second-order (node2vec) walks need remote adjacency membership checks
 (KnightKing answers them with walker messaging); they are supported by
@@ -31,7 +35,30 @@ from ..core.store import BingoStore
 from ..graphs.partition import partition_of
 
 _STATE_SCHEMA = "pid long, blob binary"
-_SEGMENT_SCHEMA = "walker long, step long, vertex long, alive boolean"
+_SEGMENT_SCHEMA = "walker long, step long, vertex long, tail boolean"
+_NO_EDGES = pd.DataFrame({"src": [], "dst": [], "bias": []})
+
+
+def _open(blob, kw) -> tuple[BingoStore, dict]:
+    """A partition's store with no rows loaded yet, and the partition's
+    ``{vertex: pickled row}`` map (empty when ``blob`` is None)."""
+    return BingoStore(_NO_EDGES, **kw), ({} if blob is None else pickle.loads(blob))
+
+
+def _load(store: BingoStore, rows: dict, vertices) -> None:
+    """Unpickle the rows of ``vertices`` (Python ints) that ``store`` has
+    not loaded yet."""
+    have = store.adj.rows
+    for u in vertices:
+        if u not in have and u in rows:
+            have[u] = pickle.loads(rows[u])
+
+
+def _pack(store: BingoStore, rows: dict) -> bytes:
+    """Re-pickle the rows ``store`` holds into ``rows`` and pickle the map;
+    rows that were never loaded keep their bytes."""
+    rows.update((u, pickle.dumps(v)) for u, v in store.adj.rows.items())
+    return pickle.dumps(rows)
 
 
 class SparkBingoEngine:
@@ -55,7 +82,7 @@ class SparkBingoEngine:
 
         def build(key, part):
             store = BingoStore(part[["src", "dst", "bias"]], **kw)
-            return pd.DataFrame({"pid": [key[0]], "blob": [pickle.dumps(store)]})
+            return pd.DataFrame({"pid": [key[0]], "blob": [_pack(store, {})]})
 
         rows = (
             self.spark.createDataFrame(pdf)
@@ -72,14 +99,16 @@ class SparkBingoEngine:
         return self._vertices
 
     def store_of(self, pid: int) -> BingoStore:
-        """Deserialize one partition's store (tests / inspection)."""
-        return pickle.loads(self._state[pid])
+        """One partition's store with every row loaded (tests / inspection)."""
+        store, rows = _open(self._state[pid], self._kw)
+        _load(store, rows, rows)
+        return store
 
     def edges(self) -> pd.DataFrame:
-        frames = [pickle.loads(b).edges() for b in self._state.values()]
+        frames = [self.store_of(pid).edges() for pid in self._state]
         frames = [f for f in frames if len(f)]
         if not frames:
-            return pd.DataFrame({"src": [], "dst": [], "bias": []})
+            return _NO_EDGES.copy()
         return (
             pd.concat(frames, ignore_index=True)
             .sort_values(["src", "dst"])
@@ -88,8 +117,8 @@ class SparkBingoEngine:
 
     def memory_bytes(self) -> tuple[int, int]:
         g = s = 0
-        for b in self._state.values():
-            gg, ss = pickle.loads(b).memory_bytes()
+        for pid in self._state:
+            gg, ss = self.store_of(pid).memory_bytes()
             g += gg
             s += ss
         return g, s
@@ -100,8 +129,10 @@ class SparkBingoEngine:
         """Route one update batch to its owning partitions and apply it
         there (batched=True → §5.2 path, else the §4.2 streaming path).
 
-        Partitions that receive no updates keep their previous state blob
-        (the inter-group space of untouched vertices is not rebuilt)."""
+        A task loads and re-pickles only the rows of its batch's source
+        vertices; partitions that receive no updates keep their previous
+        state blob (the inter-group space of untouched vertices is not
+        rebuilt)."""
         pdf = batch[["op", "src", "dst", "bias"]].copy()
         pdf["ord"] = np.arange(len(pdf), dtype=np.int64)  # preserve stream order
         pdf["pid"] = partition_of(pdf["src"].to_numpy(), self.n_parts)
@@ -110,18 +141,14 @@ class SparkBingoEngine:
 
         def update(key, part):
             pid = int(key[0])
-            blob = bc.value.get(pid)
-            store = (
-                pickle.loads(blob)
-                if blob is not None
-                else BingoStore(pd.DataFrame({"src": [], "dst": [], "bias": []}), **kw)
-            )
+            store, rows = _open(bc.value.get(pid), kw)
+            _load(store, rows, set(part["src"].tolist()))
             part = part.sort_values("ord")
             if batched:
                 store.apply_batch(part)
             else:
                 store.apply_stream(part)
-            return pd.DataFrame({"pid": [pid], "blob": [pickle.dumps(store)]})
+            return pd.DataFrame({"pid": [pid], "blob": [_pack(store, rows)]})
 
         rows = (
             self.spark.createDataFrame(pdf)
@@ -162,28 +189,25 @@ class SparkBingoEngine:
                 "walker": np.arange(len(starts), dtype=np.int64),
                 "step": np.zeros(len(starts), dtype=np.int64),
                 "vertex": starts,
-                "alive": np.ones(len(starts), dtype=bool),
             }
         )
-        segments = [walkers[["walker", "step", "vertex"]]]
+        segments = [walkers]
         bc = self.spark.sparkContext.broadcast(self._state)
         n_parts = self.n_parts
+        kw = self._kw
         rounds = max_rounds if max_rounds is not None else length
 
         def advance(key, part):
+            """Step the partition's walkers while they stay local. Emits one
+            row per move, then one tail row per walker that crossed into
+            another partition and walks on in the next round."""
             pid = int(key[0])
-            blob = bc.value.get(pid)
-            out_rows = []
+            store, rows = _open(bc.value.get(pid), kw)
             cur = part["vertex"].to_numpy().copy()
             step = part["step"].to_numpy().copy()
             wid = part["walker"].to_numpy()
             alive = np.ones(len(part), dtype=bool)
-            if blob is None:
-                return pd.DataFrame(
-                    {"walker": wid, "step": step, "vertex": cur,
-                     "alive": np.zeros(len(part), dtype=bool)}
-                )
-            store = pickle.loads(blob)
+            moves = []  # (walker, step, vertex) arrays, one triple per step
             rng = np.random.default_rng((seed, rnd, pid))
             local = np.ones(len(part), dtype=bool)
             while True:
@@ -197,29 +221,24 @@ class SparkBingoEngine:
                     idx = idx[keep]
                     if len(idx) == 0:
                         continue
+                _load(store, rows, set(cur[idx].tolist()))
                 nxt = store.sample_next(rng, cur[idx])
                 dead = nxt < 0
                 alive[idx[dead]] = False
                 live = idx[~dead]
                 cur[live] = nxt[~dead]
                 step[live] += 1
-                for j in live:
-                    out_rows.append((int(wid[j]), int(step[j]), int(cur[j])))
+                moves.append((wid[live], step[live], cur[live]))
                 # Walkers that crossed partitions wait for the next round.
                 local[live] = (
                     partition_of(cur[live], n_parts) == pid
                 )
-            seg = pd.DataFrame(out_rows, columns=["walker", "step", "vertex"])
-            tail = pd.DataFrame(
-                {"walker": wid, "step": step, "vertex": cur,
-                 "alive": alive & (step < length)}
-            )
-            # Emitted segments carry alive=False so the driver only
-            # re-dispatches the per-walker tail rows.
-            seg["alive"] = False
-            return pd.concat(
-                [seg, tail.assign(_tail=True).drop(columns="_tail")],
-                ignore_index=True,
+            fwd = alive & (step < length)
+            moves.append((wid[fwd], step[fwd], cur[fwd]))
+            walker, stp, vertex = (np.concatenate(col) for col in zip(*moves))
+            tail = np.arange(len(walker)) >= len(walker) - fwd.sum()
+            return pd.DataFrame(
+                {"walker": walker, "step": stp, "vertex": vertex, "tail": tail}
             )
 
         try:
@@ -227,40 +246,26 @@ class SparkBingoEngine:
             # built, so every round's tasks see that round's ``rnd`` and
             # draw a fresh random stream.
             for rnd in range(rounds):
-                live = walkers[walkers["alive"]]
-                if live.empty:
+                if walkers.empty:
                     break
-                pdf = live.copy()
-                pdf["pid"] = partition_of(pdf["vertex"].to_numpy(), self.n_parts)
+                pdf = walkers.assign(
+                    pid=partition_of(walkers["vertex"].to_numpy(), self.n_parts)
+                )
                 res = (
-                    self.spark.createDataFrame(
-                        pdf[["walker", "step", "vertex", "alive", "pid"]]
-                    )
+                    self.spark.createDataFrame(pdf)
                     .groupBy("pid")
                     .applyInPandas(advance, _SEGMENT_SCHEMA)
                     .toPandas()
                 )
-                # Tail rows: exactly one per dispatched walker — the row
-                # with that walker's maximal step.
-                # Sort alive last so a tail row (alive may be True) wins
-                # over a same-step segment row (alive always False).
-                tails = (
-                    res.sort_values(["walker", "step", "alive"])
-                    .groupby("walker", as_index=False)
-                    .last()
-                )
-                visited = res[res["step"] > 0][["walker", "step", "vertex"]]
-                segments.append(visited.drop_duplicates(["walker", "step"]))
-                done = walkers[~walkers["alive"]]
-                tails = tails[["walker", "step", "vertex", "alive"]]
-                tails.loc[tails["step"] >= length, "alive"] = False
-                walkers = pd.concat([done, tails], ignore_index=True)
+                tail = res.pop("tail").to_numpy()
+                segments.append(res[~tail])
+                # Walker order fixes the order in which a task's walkers
+                # draw from its random stream.
+                walkers = res[tail].sort_values("walker")
         finally:
             bc.unpersist()
-        out = (
+        return (
             pd.concat(segments, ignore_index=True)
-            .drop_duplicates(["walker", "step"])
             .sort_values(["walker", "step"])
             .reset_index(drop=True)
         )
-        return out

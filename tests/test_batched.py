@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.core import BingoStore, BingoVertex
+from repro.core.bits import bit_positions
 from repro.core.batched import apply_vertex_batch, batched_delete, plan_two_phase_delete
 from repro.core.store import resolve_net_effects
 from repro.graphs.updates import make_update_plan, apply_updates
@@ -181,6 +182,47 @@ class TestAtomicBatch:
             store.apply_batch(batch)
         pd.testing.assert_frame_equal(store.edges(), before)
         store.check_invariants()
+
+
+class TestNewFloatVertex:
+    """A source vertex that a batch creates on a float store takes λ from
+    the biases the batch brings. It used to get λ = 1e10, and a 1e9 bias
+    overflowed int64 after the empty row had been created."""
+
+    def test_large_bias_on_new_source(self):
+        store = BingoStore(
+            pd.DataFrame({"src": [0], "dst": [1], "bias": [0.5]}), float_bias=True,
+        )
+        batch = pd.DataFrame({"op": [1, 1], "src": [5, 5], "dst": [0, 1],
+                              "bias": [1e9, 2.5]})
+        store.apply_batch(batch)
+        store.check_invariants()
+        v = store.vertex(5)
+        assert v.lam == 1.0
+        # Groups: the bits of 10**9 and of int(2.5) = 2, and the decimal 0.5.
+        assert set(v.group_kinds()) == set(bit_positions(10**9)) | {1, -1}
+        pd.testing.assert_frame_equal(
+            store.edges(), apply_updates(pd.DataFrame(
+                {"src": [0], "dst": [1], "bias": [0.5]}), [batch]),
+            check_dtype=False,
+        )
+        draws = v.sample(rng(11), 200_000)
+        assert (draws == 1).mean() < 1e-4  # 2.5 / (1e9 + 2.5)
+
+    def test_lambda_meets_bound_for_batch_biases(self):
+        store = BingoStore(
+            pd.DataFrame({"src": [0], "dst": [1], "bias": [0.5]}), float_bias=True,
+        )
+        biases = [0.31, 0.77, 0.05, 1.29]
+        store.apply_batch(pd.DataFrame({"op": 1, "src": 3, "dst": [10, 11, 12, 13],
+                                        "bias": biases}))
+        v = store.vertex(3)
+        v.check_invariants()
+        dec = v.group(-1)
+        assert (0.0 if dec is None else dec.weight()) / v.total_weight < 1 / v.degree
+        assert v.lam < 1e4
+        draws = v.sample(rng(12), 80_000)
+        assert_distribution(draws, np.array(biases) / sum(biases))
 
 
 @pytest.mark.parametrize("mode", ["insertion", "deletion", "mixed"])

@@ -256,6 +256,21 @@ class TestFloatBias:
             mapped = np.array([remap[int(x)] for x in draws])
             assert_distribution(mapped, probs / probs.sum())
 
+    def test_empty_vertex_takes_lambda_from_first_insert(self):
+        # An empty float vertex used to get λ = 1e10 (choose_lambda([])
+        # never meets ratio < 1/d), so one 0.5 bias became 5e9: 11 groups.
+        v = BingoVertex([], [], float_bias=True)
+        v.insert(7, 0.5)
+        assert v.lam == 10.0
+        assert sorted(v.group_kinds()) == [0, 2]  # 0.5 * 10 = 5 = 0b101
+        v.check_invariants()
+        raw = [0.5, 0.3, 1.7, 0.05]
+        for dst, b in enumerate(raw[1:], start=8):
+            v.insert(dst, b)
+        v.check_invariants()
+        draws = v.sample(rng(10), 80_000)
+        assert_distribution(draws, np.array(raw) / sum(raw))
+
     def test_integer_vertex_rejects_float_bias(self):
         v = BingoVertex([1], [2])
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Distributed BINGO engine: 1-D partitioned state, walker forwarding,
 distributed updates — cross-checked against the local engine and the
 pandas ground truth."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import BingoStore
+from repro.graphs.partition import partition_of, split_by_partition
 from repro.graphs.updates import apply_updates, make_update_plan
 from repro.spark.engine import SparkBingoEngine
 from repro.synth_data import graph_edges
@@ -143,3 +146,72 @@ class TestDistributedUpdates:
             local.edges().astype({"src": np.int64, "dst": np.int64}),
             check_dtype=False,
         )
+
+
+class TestStateLayout:
+    """Each partition's state is a pickled {vertex: pickled row} map; a task
+    unpickles and re-pickles only the rows it reads or updates."""
+
+    def test_memory_matches_local_partition_stores(self, spark, small_edges):
+        plan = make_update_plan(small_edges, batch_size=80, n_batches=3,
+                                mode="mixed", seed=33)
+        eng = SparkBingoEngine(spark, plan.initial, n_parts=4)
+        local = {pid: BingoStore(part)
+                 for pid, part in split_by_partition(plan.initial, "src", 4)}
+        for b in plan.batches:
+            eng.apply_updates(b)
+            for pid, part in split_by_partition(b, "src", 4):
+                local[pid].apply_batch(part)
+        want = [sum(x) for x in zip(*(st.memory_bytes() for st in local.values()))]
+        assert list(eng.memory_bytes()) == want
+
+    def test_only_source_rows_are_repickled(self, spark, small_edges):
+        plan = make_update_plan(small_edges, batch_size=80, n_batches=1,
+                                mode="mixed", seed=34)
+        eng = SparkBingoEngine(spark, plan.initial, n_parts=4)
+        before = {pid: pickle.loads(blob) for pid, blob in eng._state.items()}
+        batch = plan.batches[0]
+        eng.apply_updates(batch)
+        srcs = set(batch["src"].tolist())
+        changed = 0
+        for pid, blob in eng._state.items():
+            rows = pickle.loads(blob)
+            old = before.get(pid, {})
+            assert set(old) <= set(rows)
+            for u, row in old.items():
+                if u in srcs:
+                    changed += row != rows[u]
+                else:
+                    assert row == rows[u], f"row {u} re-pickled"
+        assert changed > 0
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "streaming"])
+    def test_float_engine_creates_new_sources(self, spark, batched):
+        edges = pd.DataFrame({
+            "src": [0, 0, 1, 2, 3],
+            "dst": [1, 2, 2, 3, 0],
+            "bias": [0.5, 1.25, 3.0, 0.07, 2.2],
+        })
+        # New sources 10..15 land in every partition; 1e9 used to overflow.
+        batch = pd.DataFrame({
+            "op": [1, 1, 1, 1, 1, 1, 1, -1],
+            "src": [10, 10, 11, 12, 13, 14, 15, 0],
+            "dst": [0, 1, 2, 3, 0, 1, 2, 1],
+            "bias": [1e9, 0.5, 0.3, 2.75, 0.01, 7.5, 1.0, 0.0],
+        })
+        eng = SparkBingoEngine(spark, edges, n_parts=3, float_bias=True)
+        eng.apply_updates(batch, batched=batched)
+        local = BingoStore(edges, float_bias=True)
+        (local.apply_batch if batched else local.apply_stream)(batch)
+        pd.testing.assert_frame_equal(
+            eng.edges().astype({"src": np.int64, "dst": np.int64}),
+            local.edges().astype({"src": np.int64, "dst": np.int64}),
+            check_dtype=False,
+        )
+        assert set(partition_of(np.arange(10, 16), 3)) == {0, 1, 2}
+        for pid in eng._state:
+            store = eng.store_of(pid)
+            store.check_invariants()
+            for u in range(10, 16):
+                if store.vertex(u) is not None:
+                    assert store.vertex(u).lam < 1e4

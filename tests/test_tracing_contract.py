@@ -10,6 +10,9 @@ import numpy as np
 import pandas as pd
 
 from repro.core import BingoStore
+from repro.graphs.partition import partition_of
+from repro.graphs.updates import apply_updates, make_update_plan
+from repro.synth_data import graph_edges
 from repro.walk import deepwalk, node2vec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,3 +43,27 @@ def test_spark_engine_keeps_traced_methods():
 
     assert "apply_updates" in SparkBingoEngine.__dict__
     assert "walk" in SparkBingoEngine.__dict__
+
+
+def test_spark_state_is_one_blob_per_partition(spark):
+    """The benchmark sums ``len()`` of ``engine._state`` values (state and
+    collected bytes) and reads ``store_of(pid)`` for its counts."""
+    from repro.spark.engine import SparkBingoEngine
+
+    plan = make_update_plan(graph_edges("AM").head(800), batch_size=50, n_batches=1,
+                            mode="mixed", seed=7)
+    eng = SparkBingoEngine(spark, plan.initial, n_parts=3)
+
+    def check(truth):
+        pids = partition_of(truth["src"].to_numpy(), 3)
+        assert set(eng._state) == set(pids.tolist())
+        for pid, blob in eng._state.items():
+            assert type(blob) is bytes
+            store = eng.store_of(pid)
+            assert isinstance(store, BingoStore)
+            want = truth[pids == pid].reset_index(drop=True)
+            pd.testing.assert_frame_equal(store.edges(), want, check_dtype=False)
+
+    check(plan.initial.sort_values(["src", "dst"]).reset_index(drop=True))
+    eng.apply_updates(plan.batches[0])
+    check(apply_updates(plan.initial, plan.batches))
