@@ -47,6 +47,10 @@ from .groups import (
 #: Sentinel key for the decimal group in the inter-group key list.
 DECIMAL_KEY = -1
 
+#: A scaled bias ``bias·λ`` must stay below 2^63 for its integer part to
+#: fit the int64 array that the radix groups are built from.
+_SCALED_LIMIT = 2.0 ** 63
+
 
 def check_biases(biases, float_bias: bool) -> np.ndarray:
     """``biases`` as a vertex's bias array: float64, or int64 in integer
@@ -61,6 +65,22 @@ def check_biases(biases, float_bias: bool) -> np.ndarray:
     if (raw != given).any():
         raise ValueError("integer-bias vertex got a non-integer bias")
     return raw
+
+
+def checked_lambda(biases, lam: float | None) -> float | None:
+    """The λ a float vertex uses to insert ``biases``: ``lam``, or when it
+    is None (no λ chosen yet) the λ chosen from ``biases``. Raises
+    ``ValueError`` unless every ``bias·λ`` has an integer part that fits
+    int64, before anything is stored."""
+    b = np.asarray(biases, dtype=np.float64)
+    # λ >= 1, so a bias past the limit never fits; ruling it out first
+    # also keeps choose_lambda's int64 cast in range.
+    if lam is None and (b < _SCALED_LIMIT).all():
+        lam = bits.choose_lambda(b)
+    scale = 1.0 if lam is None else lam
+    if not (b * scale < _SCALED_LIMIT).all():
+        raise ValueError(f"bias·λ does not fit int64 (λ = {scale:g})")
+    return lam
 
 
 class BingoVertex(VertexAdj):
@@ -87,10 +107,10 @@ class BingoVertex(VertexAdj):
         self.touches: Counter = Counter()       # kind -> update ops touching it
 
         if float_bias:
-            if lam is None and len(raw):
-                lam = bits.choose_lambda(raw)
             # An empty vertex has no bias to choose λ from: it stays None
-            # until the first insert (``settle_lambda``).
+            # until its first insert brings one.
+            if len(raw):
+                lam = checked_lambda(raw, lam)
             self.lam = lam
             ints, fracs = bits.float_split(raw, 1.0 if lam is None else lam)
         else:
@@ -253,7 +273,7 @@ class BingoVertex(VertexAdj):
 
     def _split_bias(self, bias) -> tuple[int, float]:
         if self.float_bias:
-            self.settle_lambda([bias])
+            self.lam = checked_lambda([bias], self.lam)
             scaled = float(bias) * self.lam
             ip = int(np.floor(scaled))
             return ip, scaled - ip
@@ -389,9 +409,10 @@ class BingoVertex(VertexAdj):
         """Assert the structure matches a from-scratch reconstruction."""
         ints = self._ints.view()
         d = self.degree
+        assert len(self.bias) == len(self._ints) == len(self._fracs) == d
         assert len(self.pos) == d
-        for dst, i in self.pos.items():
-            assert int(self.dst[i]) == dst
+        for i, dst in enumerate(self.dst.view().tolist()):
+            assert self.pos.get(dst) == i, f"slot {i} (dst {dst}) not in pos"
         K = bits.num_bits(int(ints.max(initial=0))) if d else 0
         for k in range(K):
             expect = bits.group_members(ints, k)

@@ -21,7 +21,7 @@ import pandas as pd
 from ..graphs.dynamic_graph import Adjacency
 from ..graphs.updates import OP_DELETE, OP_INSERT
 from .batched import apply_vertex_batch
-from .bingo_vertex import BingoVertex, check_biases
+from .bingo_vertex import BingoVertex, check_biases, checked_lambda
 from .grouping import iter_vertex_groups
 
 
@@ -137,12 +137,17 @@ class BingoStore:
     def apply_batch(self, batch: pd.DataFrame) -> None:
         """Batched path (§5.2): group by vertex, insert→delete→one rebuild.
 
-        The whole batch is checked (ops, edge existence, biases) before
-        any vertex changes, so a rejected batch leaves the store as it was.
+        The whole batch is checked (ops, edge existence, biases, and in
+        float mode that each ``bias·λ`` fits int64) before any vertex
+        changes, so a rejected batch leaves the store as it was.
         """
         check_biases(batch["bias"].to_numpy()[batch["op"].to_numpy() == OP_INSERT],
                      self.float_bias)
         inserts, deletes = resolve_net_effects(self.has_edge, batch)
+        if self.float_bias:
+            for u, ins in inserts.items():
+                v = self.vertex(u)
+                checked_lambda([b for _, b in ins], None if v is None else v.lam)
         for u in set(inserts) | set(deletes):
             apply_vertex_batch(
                 self.adj.row(u), inserts.get(u, []), deletes.get(u, [])

@@ -107,7 +107,13 @@ class Adjacency:
         return v
 
     def insert(self, src: int, dst: int, bias) -> None:
-        self.row(src).insert(dst, bias)
+        created = int(src) not in self.rows
+        try:
+            self.row(src).insert(dst, bias)
+        except BaseException:
+            if created:  # a rejected insert leaves no empty row behind
+                del self.rows[int(src)]
+            raise
 
     def delete(self, src: int, dst: int) -> None:
         v = self.rows.get(int(src))

@@ -4,19 +4,24 @@ The paper scales BINGO to multiple GPUs with 1-D vertex partitioning and
 moves *walkers*, never sampling structures, between devices. This module
 maps device → Spark partition:
 
-- each partition's vertices are carried as one ``(pid, blob)`` row of
-  the state DataFrame (the "graph + metadata stay on the device" rule);
-  the blob is a pickled ``{vertex id: pickled BingoVertex}`` map, so a
-  task unpickles only the vertex rows it reads, into an otherwise empty
-  ``BingoStore``;
-- graph updates are routed to their owning partition with
-  ``applyInPandas`` and applied incrementally there (batched §5.2 path
-  or streaming §4.2 path) to the rows of the batch's source vertices;
-  only those rows are pickled again;
-- walks advance in rounds: an ``applyInPandas`` task steps every walker
-  whose current vertex it owns *for as long as the walk stays local*,
-  loading each vertex's row the first time a walker stands on it, then
-  emits the walker for the next round (walker forwarding).
+- each partition's vertices are carried as one ``pid → blob`` entry of
+  the driver's state map (the "graph + metadata stay on the device"
+  rule); the blob is a pickled ``{vertex id: pickled BingoVertex}`` map,
+  so a task unpickles only the vertex rows it reads, into an otherwise
+  empty ``BingoStore``;
+- every Spark round (the build, an update call, a walk round) ships one
+  ``(pid, pickled work)`` row per partition that has work and runs
+  ``mapInPandas`` over those rows: the plan has no shuffle, and each row
+  is its own Spark partition, so all partitions' tasks run in parallel,
+  as all devices update and sample at the same time;
+- graph updates are applied incrementally in their owning partition
+  (batched §5.2 path or streaming §4.2 path) to the rows of the batch's
+  source vertices; a task returns only those rows, pickled again, and
+  the driver merges them into the partition's map;
+- walks advance in rounds: a task steps every walker whose current
+  vertex it owns *for as long as the walk stays local*, loading each
+  vertex's row the first time a walker stands on it, then emits the
+  walker for the next round (walker forwarding).
 
 Second-order (node2vec) walks need remote adjacency membership checks
 (KnightKing answers them with walker messaging); they are supported by
@@ -32,9 +37,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.store import BingoStore
-from ..graphs.partition import partition_of
+from ..graphs.partition import partition_of, split_by_partition
 
-_STATE_SCHEMA = "pid long, blob binary"
+_WORK_SCHEMA = "pid long, work binary"
+_ROWS_SCHEMA = "pid long, rows binary"
 _SEGMENT_SCHEMA = "walker long, step long, vertex long, tail boolean"
 _NO_EDGES = pd.DataFrame({"src": [], "dst": [], "bias": []})
 
@@ -54,11 +60,11 @@ def _load(store: BingoStore, rows: dict, vertices) -> None:
             have[u] = pickle.loads(rows[u])
 
 
-def _pack(store: BingoStore, rows: dict) -> bytes:
-    """Re-pickle the rows ``store`` holds into ``rows`` and pickle the map;
-    rows that were never loaded keep their bytes."""
-    rows.update((u, pickle.dumps(v)) for u, v in store.adj.rows.items())
-    return pickle.dumps(rows)
+def _dump_rows(store: BingoStore) -> bytes:
+    """The pickled ``{vertex: pickled row}`` map of the rows ``store``
+    holds: a whole partition after a build, the changed rows after an
+    update."""
+    return pickle.dumps({u: pickle.dumps(v) for u, v in store.adj.rows.items()})
 
 
 class SparkBingoEngine:
@@ -76,22 +82,42 @@ class SparkBingoEngine:
         self.spark = spark
         self.n_parts = n_parts
         self._kw = dict(adaptive=adaptive, float_bias=float_bias)
-        pdf = edges[["src", "dst", "bias"]].copy()
-        pdf["pid"] = partition_of(pdf["src"].to_numpy(), n_parts)
+        edges = edges[["src", "dst", "bias"]]
         kw = self._kw
 
-        def build(key, part):
-            store = BingoStore(part[["src", "dst", "bias"]], **kw)
-            return pd.DataFrame({"pid": [key[0]], "blob": [_pack(store, {})]})
+        def build(pid, part):
+            return pd.DataFrame({"pid": [pid], "rows": [_dump_rows(BingoStore(part, **kw))]})
 
-        rows = (
-            self.spark.createDataFrame(pdf)
-            .groupBy("pid")
-            .applyInPandas(build, _STATE_SCHEMA)
-            .collect()
+        res = self._round(dict(split_by_partition(edges, "src", n_parts)), build, _ROWS_SCHEMA)
+        self._state: dict[int, bytes] = dict(zip(res["pid"].tolist(), res["rows"]))
+        self._vertices = np.sort(edges["src"].unique())
+
+    def _round(self, work: dict, task, schema: str) -> pd.DataFrame:
+        """One Spark round: ``task(pid, work[pid])`` for every partition with
+        work, each returning a frame of ``schema``; their rows, concatenated.
+
+        The driver ships one ``(pid, pickled work)`` row per partition and
+        runs ``mapInPandas`` over them. The plan has no shuffle, and while
+        there are no more rows than the session's default parallelism each
+        row is its own Spark partition, so the partitions' tasks run in
+        parallel; a task that receives several rows runs them in turn.
+        ``task`` is pickled here, as the plan is built, so each round's
+        tasks see the values it closes over at this call."""
+        rows = pd.DataFrame({
+            "pid": np.fromiter(work, dtype=np.int64, count=len(work)),
+            "work": [pickle.dumps(w) for w in work.values()],
+        })
+
+        def run(batches):
+            for batch in batches:
+                for pid, w in zip(batch["pid"].tolist(), batch["work"]):
+                    yield task(pid, pickle.loads(w))
+
+        return (
+            self.spark.createDataFrame(rows, _WORK_SCHEMA)
+            .mapInPandas(run, schema)
+            .toPandas()
         )
-        self._state: dict[int, bytes] = {int(r["pid"]): r["blob"] for r in rows}
-        self._vertices = np.sort(pdf["src"].unique())
 
     # -- driver-side views ----------------------------------------------------
 
@@ -129,38 +155,34 @@ class SparkBingoEngine:
         """Route one update batch to its owning partitions and apply it
         there (batched=True → §5.2 path, else the §4.2 streaming path).
 
-        A task loads and re-pickles only the rows of its batch's source
-        vertices; partitions that receive no updates keep their previous
-        state blob (the inter-group space of untouched vertices is not
-        rebuilt)."""
-        pdf = batch[["op", "src", "dst", "bias"]].copy()
-        pdf["ord"] = np.arange(len(pdf), dtype=np.int64)  # preserve stream order
-        pdf["pid"] = partition_of(pdf["src"].to_numpy(), self.n_parts)
+        A task loads only the rows of its batch's source vertices and
+        returns just those rows, pickled again; the driver merges them into
+        the partition's map. Partitions that receive no updates keep their
+        previous state blob (the inter-group space of untouched vertices is
+        not rebuilt). If any task raises, no partition's state changes."""
+        batch = batch[["op", "src", "dst", "bias"]]
         bc = self.spark.sparkContext.broadcast(self._state)
         kw = self._kw
 
-        def update(key, part):
-            pid = int(key[0])
+        def update(pid, part):
             store, rows = _open(bc.value.get(pid), kw)
             _load(store, rows, set(part["src"].tolist()))
-            part = part.sort_values("ord")
             if batched:
                 store.apply_batch(part)
             else:
                 store.apply_stream(part)
-            return pd.DataFrame({"pid": [pid], "blob": [_pack(store, rows)]})
+            return pd.DataFrame({"pid": [pid], "rows": [_dump_rows(store)]})
 
-        rows = (
-            self.spark.createDataFrame(pdf)
-            .groupBy("pid")
-            .applyInPandas(update, _STATE_SCHEMA)
-            .collect()
-        )
         try:
-            for r in rows:
-                self._state[int(r["pid"])] = r["blob"]
+            res = self._round(
+                dict(split_by_partition(batch, "src", self.n_parts)), update, _ROWS_SCHEMA
+            )
         finally:
             bc.unpersist()
+        for pid, changed in zip(res["pid"].tolist(), res["rows"]):
+            rows = pickle.loads(self._state[pid]) if pid in self._state else {}
+            rows.update(pickle.loads(changed))
+            self._state[pid] = pickle.dumps(rows)
         # Keep the driver-side vertex census current for walk starts.
         ins = batch[batch["op"] == 1]["src"].unique()
         self._vertices = np.union1d(self._vertices, ins.astype(np.int64))
@@ -197,11 +219,10 @@ class SparkBingoEngine:
         kw = self._kw
         rounds = max_rounds if max_rounds is not None else length
 
-        def advance(key, part):
+        def advance(pid, part):
             """Step the partition's walkers while they stay local. Emits one
             row per move, then one tail row per walker that crossed into
             another partition and walks on in the next round."""
-            pid = int(key[0])
             store, rows = _open(bc.value.get(pid), kw)
             cur = part["vertex"].to_numpy().copy()
             step = part["step"].to_numpy().copy()
@@ -242,21 +263,14 @@ class SparkBingoEngine:
             )
 
         try:
-            # applyInPandas pickles ``advance`` when each round's plan is
-            # built, so every round's tasks see that round's ``rnd`` and
-            # draw a fresh random stream.
+            # ``_round`` pickles ``advance`` as each round's plan is built,
+            # so every round's tasks see that round's ``rnd`` and draw a
+            # fresh random stream.
             for rnd in range(rounds):
                 if walkers.empty:
                     break
-                pdf = walkers.assign(
-                    pid=partition_of(walkers["vertex"].to_numpy(), self.n_parts)
-                )
-                res = (
-                    self.spark.createDataFrame(pdf)
-                    .groupBy("pid")
-                    .applyInPandas(advance, _SEGMENT_SCHEMA)
-                    .toPandas()
-                )
+                work = dict(split_by_partition(walkers, "vertex", n_parts))
+                res = self._round(work, advance, _SEGMENT_SCHEMA)
                 tail = res.pop("tail").to_numpy()
                 segments.append(res[~tail])
                 # Walker order fixes the order in which a task's walkers

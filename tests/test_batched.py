@@ -184,6 +184,73 @@ class TestAtomicBatch:
         store.check_invariants()
 
 
+class TestScaledBiasFits:
+    """In float mode a bias is stored as int64 ``floor(bias·λ)`` plus a
+    fraction. An insert whose ``bias·λ`` did not fit int64 raised
+    ``OverflowError`` after the row had taken the edge, leaving a vertex of
+    degree 2 with one integer part; it must raise before any change."""
+
+    @staticmethod
+    def store():
+        # λ = 10 for the 0.3 bias.
+        return BingoStore(pd.DataFrame({"src": [0, 1], "dst": [1, 0], "bias": [0.3, 2.0]}),
+                          float_bias=True)
+
+    @staticmethod
+    def assert_unchanged(store, edges, mem):
+        pd.testing.assert_frame_equal(store.edges(), edges)
+        assert store.memory_bytes() == mem
+        v = store.vertex(0)
+        assert v.degree == len(v._ints) == 1
+        assert not store.has_edge(0, 2)
+        store.check_invariants()
+
+    @pytest.mark.parametrize("apply", ["apply_batch", "apply_stream"])
+    def test_rejected_before_any_change(self, apply):
+        store = self.store()
+        assert store.vertex(0).lam == 10.0
+        edges, mem = store.edges(), store.memory_bytes()
+        batch = pd.DataFrame({"op": [1], "src": [0], "dst": [2], "bias": [1e18]})
+        with pytest.raises(ValueError, match="int64"):
+            getattr(store, apply)(batch)
+        self.assert_unchanged(store, edges, mem)
+
+    def test_batch_is_atomic(self):
+        # Vertex 1's insert comes first and is valid; it must not apply.
+        store = self.store()
+        edges, mem = store.edges(), store.memory_bytes()
+        batch = pd.DataFrame({"op": [1, 1], "src": [1, 0], "dst": [2, 2],
+                              "bias": [1.5, 1e18]})
+        with pytest.raises(ValueError, match="int64"):
+            store.apply_batch(batch)
+        self.assert_unchanged(store, edges, mem)
+
+    def test_new_source_checked_with_its_own_lambda(self):
+        # A new source takes λ = 1 from its inserts, so 1e18 fits and
+        # 1e19 (> 2^63) does not; the rejected batch creates no vertex.
+        store = self.store()
+        store.apply_batch(pd.DataFrame({"op": [1], "src": [5], "dst": [0], "bias": [1e18]}))
+        assert store.vertex(5).lam == 1.0
+        store.check_invariants()
+        with pytest.raises(ValueError, match="int64"):
+            store.apply_batch(pd.DataFrame({"op": [1], "src": [6], "dst": [0],
+                                            "bias": [1e19]}))
+        assert store.vertex(6) is None
+
+    def test_stream_to_new_source_leaves_no_row(self):
+        store = self.store()
+        edges, mem = store.edges(), store.memory_bytes()
+        with pytest.raises(ValueError, match="int64"):
+            store.apply_stream(pd.DataFrame({"op": [1], "src": [7], "dst": [0],
+                                             "bias": [1e19]}))
+        assert store.vertex(7) is None
+        self.assert_unchanged(store, edges, mem)
+
+    def test_build_rejects_unfit_bias(self):
+        with pytest.raises(ValueError, match="int64"):
+            BingoVertex([1], [1e19], float_bias=True)
+
+
 class TestNewFloatVertex:
     """A source vertex that a batch creates on a float store takes λ from
     the biases the batch brings. It used to get λ = 1e10, and a 1e9 bias

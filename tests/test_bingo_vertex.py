@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import DECIMAL_KEY, BingoVertex
 from repro.core.groups import KIND_DENSE, KIND_ONE, KIND_REGULAR, KIND_SPARSE
+from repro.graphs.dynamic_graph import VertexAdj
 from tests.util import assert_distribution, rng
 
 
@@ -204,6 +205,21 @@ class TestRandomOpSequences:
         v = make_vertex(biases)
         v.check_invariants()
         assert v.total_weight == sum(biases)
+
+
+    @pytest.mark.parametrize("corrupt", [
+        # The row gains an edge but the sampling arrays do not: the state
+        # an insert left behind when its scaled bias overflowed int64.
+        lambda v: VertexAdj.insert(v, 99, 4),
+        # Two slots trade destinations behind ``pos``'s back.
+        lambda v: v.dst.view().__setitem__([0, 1], v.dst.view()[[1, 0]]),
+    ], ids=["row-without-sampling-arrays", "slots-swapped"])
+    def test_corruption_is_caught(self, corrupt):
+        v = make_vertex([5, 4, 3])
+        v.check_invariants()
+        corrupt(v)
+        with pytest.raises(AssertionError):
+            v.check_invariants()
 
 
 class TestFloatBias:

@@ -2,10 +2,12 @@
 distributed updates — cross-checked against the local engine and the
 pandas ground truth."""
 import pickle
+import time
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 
 from repro.core import BingoStore
 from repro.graphs.partition import partition_of, split_by_partition
@@ -147,6 +149,26 @@ class TestDistributedUpdates:
             check_dtype=False,
         )
 
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "streaming"])
+    def test_rejected_update_leaves_state_unchanged(self, spark, batched):
+        # Vertex 0 has λ = 10, so 1e18·λ does not fit int64; vertex 1's
+        # valid insert lands in another partition's task.
+        edges = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 0], "bias": [0.3, 2.0, 1.5]})
+        eng = SparkBingoEngine(spark, edges, n_parts=4, float_bias=True)
+        before = dict(eng._state)
+        batch = pd.DataFrame({"op": [1, 1], "src": [1, 0], "dst": [0, 2],
+                              "bias": [1.25, 1e18]})
+        assert len(set(partition_of(batch["src"].to_numpy(), 4))) == 2
+        with pytest.raises(PythonException, match="does not fit int64"):
+            eng.apply_updates(batch, batched=batched)
+        assert eng._state.keys() == before.keys()
+        assert all(eng._state[pid] is blob for pid, blob in before.items())
+        pd.testing.assert_frame_equal(
+            eng.edges().astype({"src": np.int64, "dst": np.int64}),
+            edges.sort_values(["src", "dst"]).reset_index(drop=True),
+            check_dtype=False,
+        )
+
 
 class TestStateLayout:
     """Each partition's state is a pickled {vertex: pickled row} map; a task
@@ -215,3 +237,93 @@ class TestStateLayout:
             for u in range(10, 16):
                 if store.vertex(u) is not None:
                     assert store.vertex(u).lam < 1e4
+
+
+def _group_jobs(spark, group: str, run, n_jobs: int) -> tuple:
+    """Run ``run()`` under job group ``group``; return its result and
+    ``(stage count, task count of the first stage)`` for each of the
+    group's jobs. Waits until the status tracker reports ``n_jobs``
+    succeeded jobs, because Spark posts job events to it asynchronously."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        result = run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    deadline = time.monotonic() + 30
+    while True:
+        jobs = [tracker.getJobInfo(j) for j in tracker.getJobIdsForGroup(group)]
+        done = [j for j in jobs if j is not None and j.status == "SUCCEEDED"]
+        if len(done) >= n_jobs or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    return result, [
+        (len(j.stageIds), tracker.getStageInfo(j.stageIds[0]).numTasks)
+        for j in sorted(jobs, key=lambda j: j.jobId)
+    ]
+
+
+class TestParallelRounds:
+    """A Spark round ships one row per partition that has work and runs
+    mapInPandas over them: one job with one stage (no shuffle) of one task
+    per such partition, so the partitions run in parallel. With a
+    groupBy("pid") shuffle each round had a shuffle stage, and adaptive
+    execution merged the result stage into a single task."""
+
+    def test_update_is_one_stage_of_one_task_per_partition(self, spark):
+        # Sources 0, 1, 2 live in partitions 0, 3, 2 of 4.
+        edges = pd.DataFrame({"src": [0, 1, 2, 4], "dst": [1, 2, 4, 0], "bias": [1, 2, 3, 4]})
+        eng = SparkBingoEngine(spark, edges, n_parts=4)
+        batch = pd.DataFrame({"op": [1, 1, 1], "src": [0, 1, 2], "dst": [9, 9, 9],
+                              "bias": [1, 1, 1]})
+        k = len(set(partition_of(batch["src"].to_numpy(), 4)))
+        assert k == 3
+        tasks = min(k, spark.sparkContext.defaultParallelism)
+        _, jobs = _group_jobs(spark, "test-update-round", lambda: eng.apply_updates(batch), 1)
+        assert jobs == [(1, tasks)]
+
+    def test_walk_runs_one_job_per_round(self, spark):
+        # Every hop of the cycle 0 -> 1 -> 2 -> 4 -> 0 crosses partitions,
+        # so a walk of length r needs r rounds; three walkers keep three
+        # partitions busy in every round.
+        edges = pd.DataFrame({"src": [0, 1, 2, 4], "dst": [1, 2, 4, 0], "bias": [1, 1, 1, 1]})
+        assert len(set(partition_of(edges["src"].to_numpy(), 4))) == 4
+        eng = SparkBingoEngine(spark, edges, n_parts=4)
+        length = 3
+        tasks = min(3, spark.sparkContext.defaultParallelism)
+        seg, jobs = _group_jobs(spark, "test-walk-rounds", lambda: eng.walk(
+            starts=np.array([0, 1, 2]), length=length, seed=8), length)
+        assert jobs == [(1, tasks)] * length
+        assert len(seg) == 3 * (length + 1)
+
+
+class TestMorePartitionsThanCores:
+    """With n_parts above the core count several partitions' rows share a
+    mapInPandas batch; the task runs them in turn."""
+
+    def test_matches_local_store(self, spark, small_edges):
+        n_parts = 8  # above local[*]'s default parallelism on up to 7 cores
+        plan = make_update_plan(small_edges, batch_size=80, n_batches=4,
+                                mode="mixed", seed=35)
+        eng = SparkBingoEngine(spark, plan.initial, n_parts=n_parts)
+        local = BingoStore(plan.initial)
+        for i, b in enumerate(plan.batches):
+            batched = i % 2 == 0
+            eng.apply_updates(b, batched=batched)
+            (local.apply_batch if batched else local.apply_stream)(b)
+        pd.testing.assert_frame_equal(
+            eng.edges().astype({"src": np.int64, "dst": np.int64}),
+            local.edges().astype({"src": np.int64, "dst": np.int64}),
+            check_dtype=False,
+        )
+        assert set(eng._state) == set(range(n_parts))
+        for pid in eng._state:
+            eng.store_of(pid).check_invariants()
+        starts = eng.vertices()[:60]
+        seg = eng.walk(starts=starts, length=6, seed=9)
+        assert set(seg[seg.step == 0].walker) == set(range(60))
+        for _, grp in seg.groupby("walker"):
+            vs = grp.vertex.tolist()
+            for a, b in zip(vs[:-1], vs[1:]):
+                assert local.has_edge(a, b), f"edge ({a},{b}) not in graph"
